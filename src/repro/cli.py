@@ -95,7 +95,6 @@ def _base_config(args: argparse.Namespace) -> ExperimentConfig:
             rtds_cfg = hardened(
                 rtds_cfg, ack_timeout=args.ack_timeout, ack_retries=args.ack_retries
             )
-    shards = getattr(args, "shards", 0) or 0
     return ExperimentConfig(
         topology="erdos_renyi",
         topology_kwargs={"n": args.sites, "p": min(1.0, 4.0 / max(1, args.sites - 1))},
@@ -106,8 +105,6 @@ def _base_config(args: argparse.Namespace) -> ExperimentConfig:
         rtds=rtds_cfg,
         faults=faults,
         routing_mode=getattr(args, "routing", "protocol"),
-        engine_mode="sharded" if shards else "single",
-        shards=shards,
     )
 
 
@@ -668,18 +665,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="skip cells already completed in --store (failed cells are retried)",
         )
 
-    def sharded(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--shards", type=int, default=0,
-            help="run on the sharded multi-process PDES engine (E14) with "
-            "this many worker processes (needs --routing oracle; 0 = the "
-            "single-process engine)",
-        )
-
     p_run = sub.add_parser("run", help="one experiment")
     common(p_run)
     p_run.add_argument("--algorithm", default="rtds")
-    sharded(p_run)
 
     p_prof = sub.add_parser(
         "profile", help="cProfile one experiment; print the top offenders"
@@ -755,7 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="topology families (geometric,barabasi_albert)",
     )
     p_wn.add_argument("--runs", type=int, default=1, help="seeds per (kind, size) cell")
-    sharded(p_wn)
     runtime(p_wn)
 
     p_he = sub.add_parser(

@@ -129,20 +129,11 @@ def config_fingerprint(config: ExperimentConfig) -> Dict[str, object]:
     cache is result-invisible by contract (cache-on ≡ cache-off bit for
     bit, the ``tests/cache/`` differential), so serial ≡ pool identity
     and cell addressing are untouched by it.
-
-    The engine fields (``engine_mode``/``shards``) are popped only at
-    their single-process defaults, so every pre-sharding cell key is
-    unchanged; a sharded config keeps both — its determinism contract is
-    conditional (partition-friendly cells only), so sharded cells are
-    addressed honestly as their own coordinates.
     """
     enc = _encode(config)
     enc.pop("label", None)
     enc.pop("telemetry", None)
     enc.pop("admission_cache", None)
-    if enc.get("engine_mode", "single") == "single":
-        enc.pop("engine_mode", None)
-        enc.pop("shards", None)
     return enc
 
 

@@ -19,8 +19,7 @@ phase 1 and returns a live :class:`ResidentNetwork` (the always-on network
 the admission service of :mod:`repro.service` keeps feeding), and
 ``run_experiment(config, workload=...)`` pushes an explicit job list
 through a fresh resident — the replay half of the service ≡ batch
-differential. (:func:`run_experiment_with_workload` remains as a
-deprecated alias for that form.)
+differential.
 """
 
 from __future__ import annotations
@@ -144,19 +143,6 @@ class ExperimentConfig:
     #: In oracle mode setup takes zero simulated time and sends zero
     #: messages, so ``setup_time``/``setup_messages`` read 0.
     routing_mode: str = "protocol"
-    #: event-loop engine: ``"single"`` (default, one process, the
-    #: identity-golden path) or ``"sharded"`` — the E14 multi-process PDES
-    #: engine (:mod:`repro.simnet.sharded`): the topology is partitioned
-    #: across ``shards`` worker processes synchronized by conservative
-    #: time windows (lookahead = min inter-shard link delay). Requires
-    #: oracle routing and an rtds/local algorithm; on partition-friendly
-    #: cells (continuous delay ranges) it reproduces the single-process
-    #: ``scalar_metrics`` exactly (``tests/sharded/``). Defaults are
-    #: popped from ``config_fingerprint`` so existing cell keys survive.
-    engine_mode: str = "single"
-    #: worker-process count for ``engine_mode="sharded"`` (>= 2); must
-    #: stay 0 in single mode
-    shards: int = 0
     seed: int = 0
     trace: bool = False
     #: telemetry (repro.obs): False (default) keeps every hot path on the
@@ -240,43 +226,6 @@ class ExperimentConfig:
                 "election requires algorithm='centralized' (only the "
                 "centralized baseline has a coordinator to elect)"
             )
-        if self.engine_mode not in ("single", "sharded"):
-            raise ConfigError(
-                f"unknown engine_mode {self.engine_mode!r}; known: ('single', 'sharded')"
-            )
-        if self.engine_mode == "sharded":
-            if self.shards < 2:
-                raise ConfigError(
-                    f"engine_mode='sharded' needs shards >= 2, got {self.shards}"
-                )
-            if self.routing_mode != "oracle":
-                raise ConfigError(
-                    "engine_mode='sharded' requires routing_mode='oracle' "
-                    "(each shard solves its closure's tables locally; "
-                    "simulated routing cannot cross shard boundaries)"
-                )
-            if self.algorithm not in ("rtds", "local"):
-                raise ConfigError(
-                    "engine_mode='sharded' supports algorithms 'rtds' and "
-                    f"'local' only, not {self.algorithm!r} (global-state "
-                    "baselines assume one shared process)"
-                )
-            if self.faults is not None and (
-                self.faults.perturbs_network() or self.faults.has_joins()
-            ):
-                raise ConfigError(
-                    "engine_mode='sharded' does not support fault plans "
-                    "(injector and membership state are single-process)"
-                )
-            if self.trace:
-                raise ConfigError(
-                    "engine_mode='sharded' does not support trace=True "
-                    "(per-shard tracers cannot interleave into one timeline)"
-                )
-        elif self.shards:
-            raise ConfigError(
-                f"shards={self.shards} requires engine_mode='sharded'"
-            )
 
     def resolved_label(self) -> str:
         """The display label: explicit ``label`` or the algorithm name."""
@@ -293,10 +242,8 @@ class RunResult:
     network: Network
     tracer: Tracer
     topology: Topology
-    #: the executed job list; ``None`` on sharded runs (each worker
-    #: regenerates the identical seeded workload locally instead of
-    #: shipping it back)
-    workload: Optional[Workload]
+    #: the executed job list
+    workload: Workload
     setup_messages: int
     setup_time: float
     #: the armed fault injector (stats + concrete windows), or None when
@@ -308,9 +255,6 @@ class RunResult:
     #: the resident network the run executed on — survivability state
     #: (membership manager, elections, injector) hangs off it
     resident: Optional[Any] = None
-    #: partition + window-loop metadata of a sharded run
-    #: (:class:`repro.simnet.sharded.ShardRunInfo`), None on single-engine runs
-    sharding: Optional[Any] = None
 
     def site_utilizations(self, start: float, end: float) -> Dict[int, float]:
         """Per-site compute utilization over the window ``[start, end]``."""
@@ -782,38 +726,12 @@ def run_experiment(
     workload makes the config's own generation knobs
     (``rho``/``duration``/``dag_size``) irrelevant; everything else
     applies as usual.
-
-    ``engine_mode="sharded"`` dispatches to the multi-process PDES
-    coordinator (:func:`repro.simnet.sharded.run_sharded`); explicit
-    workload replay stays single-process.
     """
-    if config.engine_mode == "sharded":
-        if workload is not None:
-            raise ConfigError(
-                "explicit workload replay requires engine_mode='single' "
-                "(sharded workers regenerate the seeded batch workload)"
-            )
-        from repro.simnet.sharded.coordinator import run_sharded
-
-        return run_sharded(config)
     with _gc_paused():
         resident = build_resident(config)
         if workload is None:
             workload = _generate_batch_workload(config, resident)
         return _execute_workload(resident, workload)
-
-
-def run_experiment_with_workload(
-    config: ExperimentConfig, workload: Workload
-) -> RunResult:
-    """Deprecated: call ``run_experiment(config, workload=...)`` instead."""
-    warnings.warn(
-        "run_experiment_with_workload() is deprecated; "
-        "call run_experiment(config, workload=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_experiment(config, workload=workload)
 
 
 def _generate_batch_workload(

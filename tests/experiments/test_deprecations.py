@@ -1,14 +1,10 @@
-"""The two PR-9 deprecation shims: warn loudly, behave identically."""
+"""The ``ExperimentConfig.speeds`` deprecation shim: warns loudly, behaves identically."""
 
 import warnings
 
 import pytest
 
-from repro.experiments.runner import (
-    ExperimentConfig,
-    run_experiment,
-    run_experiment_with_workload,
-)
+from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.metrics.summary import scalars_equal
 
 
@@ -43,16 +39,6 @@ def test_site_speeds_alone_does_not_warn():
         warnings.simplefilter("error", DeprecationWarning)
         _cfg(site_speeds=[1.0, 2.0])
         _cfg()
-
-
-def test_run_experiment_with_workload_warns_and_delegates():
-    cfg = _cfg()
-    first = run_experiment(cfg)
-    with pytest.warns(DeprecationWarning, match="run_experiment_with_workload"):
-        legacy = run_experiment_with_workload(cfg, first.workload)
-    modern = run_experiment(cfg, workload=first.workload)
-    assert scalars_equal(legacy.scalar_metrics(), modern.scalar_metrics())
-    assert scalars_equal(first.scalar_metrics(), modern.scalar_metrics())
 
 
 def test_run_experiment_default_path_does_not_warn():

@@ -43,6 +43,11 @@ class TestCellKey:
     def test_stable_across_calls(self):
         assert cell_key(SMALL) == cell_key(replace(SMALL))
 
+    def test_literal_key_is_pinned(self):
+        # A stored campaign cell is addressed by this hex: if it moves, every
+        # result in an existing store is silently re-run instead of resumed.
+        assert cell_key(SMALL) == "15250af3e23bbda6"
+
     def test_label_is_display_only(self):
         assert cell_key(SMALL) == cell_key(replace(SMALL, label="renamed"))
         assert "label" not in config_fingerprint(SMALL)

@@ -1,15 +1,11 @@
-"""A membership join whose repair closure spans a shard-partition cut.
+"""A membership join whose repair closure spans distant parts of the graph.
 
-The E14 partitioner and the membership repair machinery meet here: a
-joiner is wired to the two endpoints of a *cut edge* of
-``partition_topology(topo, 2)``, so its ≤2P-hop repair closure straddles
-both parts of the bisection. The incremental repair must still equal a
-full ``phased_tables`` rebuild bit for bit (``verify_converged``) — the
-proof in ``repro.membership`` does not know or care where a partitioner
-would draw its boundary, and this pins that.
-
-(Sharded runs themselves reject join plans; this runs the single-process
-engine against the exact topology the partitioner would cut.)
+A joiner is wired to two sites at the base topology's maximum hop
+distance (its hop diameter), so its ≤2P-hop repair closure reaches into
+both far ends of the network at once. The incremental repair must still
+equal a full ``phased_tables`` rebuild bit for bit (``verify_converged``)
+— the proof in ``repro.membership`` does not depend on where in the
+graph the joiner's links land, and this pins that.
 """
 
 from dataclasses import replace
@@ -18,7 +14,7 @@ import numpy as np
 
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.faults import FaultPlan, SiteJoinEvent
-from repro.simnet.sharded.partition import partition_topology
+from repro.routing.vectorized import bfs_hops_matrix, weight_matrix
 from repro.simnet.topology import topology_factory
 
 BASE = ExperimentConfig(
@@ -36,15 +32,21 @@ def _base_topology(config: ExperimentConfig):
     return topology_factory(config.topology, rng=rng, **config.topology_kwargs)
 
 
-def test_join_across_a_partition_cut_converges_bit_for_bit():
-    topo = _base_topology(BASE)
-    plan2 = partition_topology(topo, 2)
-    assert plan2.cut_edges, "a connected 2-cut must cut at least one edge"
-    u, v, _delay = plan2.cut_edges[0]
-    assert plan2.assignment[u] != plan2.assignment[v]
+def _farthest_pair(topo):
+    """The first (row-major) site pair at maximum hop distance, and the
+    hop matrix it came from."""
+    hops = bfs_hops_matrix(weight_matrix(topo))
+    u, v = np.unravel_index(int(np.argmax(hops)), hops.shape)
+    return int(u), int(v), hops
 
-    # the joiner's direct links land one peer in each part, so every
-    # repair radius >= 1 hop spans the boundary by construction
+
+def test_join_between_distant_sites_converges_bit_for_bit():
+    topo = _base_topology(BASE)
+    u, v, hops = _farthest_pair(topo)
+    assert hops[u, v] >= 3, "the peers must be far apart for the test to bite"
+
+    # the joiner's direct links land on both far ends, so its repair
+    # closure covers both regions of the graph at once
     faults = FaultPlan(
         join_events=(SiteJoinEvent(time=20.0, links=((u, 0.4), (v, 0.7))),)
     )
@@ -56,21 +58,26 @@ def test_join_across_a_partition_cut_converges_bit_for_bit():
     assert joiner in res.network.sites
     assert membership.verify_converged()
 
-    # the joined site actually routes to both parts (repair reached both)
+    # the joined site actually routes to both regions (repair reached
+    # both): the sites strictly nearer u than v, and those nearer v
+    regions = (
+        [s for s in range(topo.n) if hops[u, s] < hops[v, s] and s != u],
+        [s for s in range(topo.n) if hops[v, s] < hops[u, s] and s != v],
+    )
+    assert all(regions)
     tables = res.resident.shared_tables
     for shared in tables.values():
         disc_row = shared.disc[joiner]
-        for part in plan2.parts:
-            assert any(disc_row[s] >= 0 for s in part), (
-                "repair closure failed to span the partition boundary"
+        for region in regions:
+            assert any(disc_row[s] >= 0 for s in region), (
+                "repair closure failed to span both far ends of the graph"
             )
 
 
-def test_two_joins_on_opposite_sides_of_the_cut():
+def test_two_joins_at_opposite_ends():
     topo = _base_topology(BASE)
-    plan2 = partition_topology(topo, 2)
-    u, v, _delay = plan2.cut_edges[0]
-    # one joiner per side; the second one joins after the first repaired
+    u, v, _hops = _farthest_pair(topo)
+    # one joiner per end; the second one joins after the first repaired
     faults = FaultPlan(
         join_events=(
             SiteJoinEvent(time=15.0, links=((u, 0.5),)),
@@ -80,6 +87,6 @@ def test_two_joins_on_opposite_sides_of_the_cut():
     res = run_experiment(replace(BASE, faults=faults))
     membership = res.resident.membership
     assert membership.verify_converged()
-    # the second joiner is linked across the boundary via the first
+    # the second joiner is linked across the graph via the first
     second = topo.n + 1
     assert second in res.network.sites
